@@ -4,37 +4,33 @@ The paper's §6.1 ("longer caching is more robust to DDoS attacks") rests
 on Moura et al.'s finding that "to be most effective, TTLs must be longer
 than the attack".  This sweep makes the threshold visible: availability
 during a one-hour authoritative outage as a function of the record TTL,
-with and without serve-stale.
+with and without serve-stale — the TTL axis of
+``scenario_ddos_resilience`` over a finer grid.
 """
 
 from benchmarks.conftest import write_report
 from repro.analysis.tables import Table
-from repro.core.sweeps import ddos_availability_sweep
+from repro.core.scenarios import scenario_ddos_resilience
 
 TTLS = (60, 300, 1800, 3600, 86400)
 ATTACK = 3600.0
 
 
 def bench_ablation_ddos(benchmark):
-    def run():
-        return (
-            ddos_availability_sweep(ttls=TTLS, attack_seconds=ATTACK, seed=1),
-            ddos_availability_sweep(
-                ttls=TTLS, attack_seconds=ATTACK, seed=1, serve_stale=True
-            ),
-        )
-
-    plain, stale = benchmark.pedantic(run, rounds=1, iterations=1)
+    run = benchmark.pedantic(
+        scenario_ddos_resilience,
+        kwargs={"ttls": TTLS, "attack_seconds": ATTACK, "seed": 1},
+        rounds=1,
+        iterations=1,
+    )
+    plain = run.availability_profile(serve_stale=False)
+    stale = run.availability_profile(serve_stale=True)
     table = Table(
         ["TTL", "availability", "availability (serve-stale)"],
         title=f"Ablation: availability during a {ATTACK / 3600:.0f}h authoritative outage",
     )
-    for plain_point, stale_point in zip(plain, stale):
-        table.add_row(
-            plain_point.ttl,
-            f"{plain_point.availability * 100:.0f}%",
-            f"{stale_point.availability * 100:.0f}%",
-        )
+    for ttl in TTLS:
+        table.add_row(ttl, f"{plain[ttl] * 100:.0f}%", f"{stale[ttl] * 100:.0f}%")
     report = table.render()
     report += (
         "\n\nThe threshold sits exactly where Moura et al. put it: TTLs at "
@@ -44,10 +40,9 @@ def bench_ablation_ddos(benchmark):
     )
     write_report("ablation_ddos", report)
 
-    by_ttl = {p.ttl: p for p in plain}
-    assert by_ttl[86400].availability == 1.0
-    assert by_ttl[60].availability < 0.2
-    assert all(p.availability == 1.0 for p in stale)
+    assert plain[86400] == 1.0
+    assert plain[60] < 0.2
+    assert all(value == 1.0 for value in stale.values())
 
 
 def bench_ablation_ttl_latency_sweep(benchmark):

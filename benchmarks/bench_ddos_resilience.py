@@ -1,10 +1,8 @@
 """§6.1 resilience scenario: the fault-injection reproduction.
 
-Where ``bench_ablation_ddos`` sweeps availability by mutating the loss
-model directly, this bench drives the same claim through the
-:mod:`repro.faults` layer — the outage is a scheduled, observable fault,
-so the report can show not just the availability cliff but the fault
-ledger around it (injections, recoveries, time-to-recovery, serve-stale
+The outage is a scheduled, observable :mod:`repro.faults` fault, so
+the report shows not just the availability cliff but the fault ledger
+around it (injections, recoveries, time-to-recovery, serve-stale
 engagements).
 """
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.analysis.cdf import ECDF
@@ -34,88 +35,20 @@ from repro.core.worlds import (
     build_cl_world,
     build_controlled_world,
     build_ecs_cdn_world,
-    build_googleco_world,
     build_hotset_world,
     build_nl_world,
     build_outage_world,
     build_push_world,
-    build_uy_world,
 )
 from repro.dns.message import Message, Rcode, Section
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.metrics.registry import MetricsRegistry
-from repro.metrics.snapshot import MetricsSnapshot, merge_snapshots
+from repro.metrics.snapshot import MetricsSnapshot
+from repro.runner.campaigns import CellMatrix
 
 # ------------------------------------------------- sharded campaign plumbing
-
-
-def _run_sharded_campaign(
-    campaign: str,
-    fingerprint: dict,
-    fn,
-    kwargs: dict,
-    total_units: int,
-    seed: int,
-    parallelism: int,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    profile: Optional[str] = None,
-    initializer=None,
-    initargs: tuple = (),
-):
-    """Run a campaign through :mod:`repro.runner` and return the outcomes.
-
-    ``parallelism=1`` uses the executor's serial in-process fallback;
-    either way the shard plan depends only on ``(total_units, shards,
-    seed)``, so results are identical for every worker count — the
-    runner's determinism contract.  With ``shards`` unset the plan uses
-    the fixed :data:`repro.runner.shard.DEFAULT_SHARDS`, never the
-    worker count, so that contract holds for the defaults too.
-
-    ``profile`` dumps per-shard cProfile stats to
-    ``f"{profile}.shard-NNNN"``; ``initializer``/``initargs`` run once
-    per worker process (world-cache prewarm).
-
-    Returns ``(outcomes, metrics)``: the per-shard outcomes in shard
-    order — each ``outcome.value`` already decoded from its codec
-    envelope to ``{"results", "queries", "metrics"}`` — plus one merged
-    :class:`MetricsSnapshot`: the shards' sim-domain metrics folded
-    exactly, with the executor's host-domain telemetry (wall times,
-    retries, checkpoint hits) alongside.
-    """
-    from repro.runner.checkpoint import CheckpointStore
-    from repro.runner.codec import decode_shard_payload
-    from repro.runner.executor import ShardExecutor
-    from repro.runner.merge import merge_shard_metrics
-    from repro.runner.progress import ProgressTracker
-    from repro.runner.shard import DEFAULT_SHARDS, plan_shards
-
-    num_shards = shards if shards is not None else DEFAULT_SHARDS
-    plan = plan_shards(total_units, num_shards, seed)
-    checkpoint = (
-        CheckpointStore(run_dir, fingerprint) if run_dir is not None else None
-    )
-    tracker = ProgressTracker(campaign=campaign, callback=progress)
-    host_registry = MetricsRegistry()
-    executor = ShardExecutor(
-        parallelism=parallelism,
-        checkpoint=checkpoint,
-        tracker=tracker,
-        metrics=host_registry,
-        initializer=initializer,
-        initargs=initargs,
-        profile_path=profile,
-    )
-    outcomes = executor.run(fn, plan, kwargs)
-    for outcome in outcomes:
-        outcome.value = decode_shard_payload(outcome.value)
-    metrics = merge_shard_metrics(
-        [outcome.value for outcome in outcomes]
-    ).merge(host_registry.snapshot())
-    return outcomes, metrics
 
 
 def _normalize_fault_plan(faults) -> Optional[dict]:
@@ -132,78 +65,101 @@ def _normalize_fault_plan(faults) -> Optional[dict]:
     return FaultPlan.from_payload(faults).to_payload()
 
 
-def _run_centricity_sharded(
+def _run_centricity(
     campaign: str,
     builder: str,
     world_kwargs: dict,
     spec_kwargs: dict,
     qtype: RdataType,
+    *,
     seed: int,
     probes: int,
-    parallelism: int,
-    shards: Optional[int] = None,
-    run_dir: Optional[str] = None,
-    progress=None,
-    fault_plan: Optional[dict] = None,
-    predict: bool = False,
-    profile: Optional[str] = None,
-    snapshot_every: int = 0,
-) -> tuple[ResultSet, MetricsSnapshot]:
-    """Shard an active centricity campaign over its probes and merge.
+    parallelism: Optional[int],
+    shards: Optional[int],
+    run_dir: Optional[str],
+    progress,
+    faults,
+    predict: bool,
+    profile: Optional[str],
+    snapshot_every: int,
+) -> tuple[ResultSet, Optional[MetricsSnapshot]]:
+    """Run an active centricity campaign; returns ``(results, metrics)``.
 
-    ``snapshot_every`` (with ``run_dir``) makes each shard checkpoint
-    its world-level state every that-many queries, so a killed run
-    resumes mid-shard.  Snapshot cadence is deliberately *not* part of
-    the fingerprint — it changes when state hits disk, never the
-    results.
+    Without ``parallelism`` the campaign is one world measured by every
+    probe (``metrics`` is None).  With it, probes are sharded through
+    :mod:`repro.runner` — each shard derives its own world from its
+    shard seed — and merged.  ``snapshot_every`` (with ``run_dir``)
+    makes each shard checkpoint its world-level state every that-many
+    queries, so a killed run resumes mid-shard.  Snapshot cadence is
+    deliberately *not* part of the fingerprint — it changes when state
+    hits disk, never the results.
     """
-    from repro.runner.campaigns import campaign_fingerprint, centricity_shard
+    from repro.runner.campaigns import (
+        _world_builders,
+        campaign_fingerprint,
+        centricity_shard,
+        run_campaign,
+    )
     from repro.runner.merge import merge_result_sets
     from repro.runner.shard import DEFAULT_SHARDS
     from repro.runner.worldcache import prewarm
 
-    kwargs = {
-        "builder": builder,
-        "world_kwargs": world_kwargs,
-        "spec_kwargs": spec_kwargs,
-        "qtype_name": qtype.name,
-        "fault_plan": fault_plan,
-    }
-    if predict:
-        # Only present when armed, so run dirs checkpointed before the
-        # predict layer existed still fingerprint-match their campaigns.
-        kwargs["predict"] = True
-    fingerprint = campaign_fingerprint(
-        "centricity",
-        campaign=campaign,
-        seed=seed,
-        probes=probes,
-        shards=shards if shards is not None else DEFAULT_SHARDS,
-        **kwargs,
-    )
-    if run_dir is not None and snapshot_every > 0:
-        kwargs["snapshot"] = {
-            "run_dir": str(run_dir),
-            "fingerprint": fingerprint,
-            "every": int(snapshot_every),
+    fault_plan = _normalize_fault_plan(faults)
+    if parallelism is not None:
+        kwargs = {
+            "builder": builder,
+            "world_kwargs": world_kwargs,
+            "spec_kwargs": spec_kwargs,
+            "qtype_name": qtype.name,
+            "fault_plan": fault_plan,
         }
-    outcomes, metrics = _run_sharded_campaign(
-        campaign,
-        fingerprint,
-        centricity_shard,
-        kwargs,
-        total_units=probes,
-        seed=seed,
-        parallelism=parallelism,
-        shards=shards,
-        run_dir=run_dir,
-        progress=progress,
-        profile=profile,
-        initializer=prewarm,
-        initargs=(builder, world_kwargs),
-    )
-    merged = merge_result_sets([outcome.value["results"] for outcome in outcomes])
-    return merged, metrics
+        if predict:
+            # Only present when armed, so run dirs checkpointed before the
+            # predict layer existed still fingerprint-match their campaigns.
+            kwargs["predict"] = True
+        fingerprint = campaign_fingerprint(
+            "centricity",
+            campaign=campaign,
+            seed=seed,
+            probes=probes,
+            shards=shards if shards is not None else DEFAULT_SHARDS,
+            **kwargs,
+        )
+        if run_dir is not None and snapshot_every > 0:
+            kwargs["snapshot"] = {
+                "run_dir": str(run_dir),
+                "fingerprint": fingerprint,
+                "every": int(snapshot_every),
+            }
+        values, metrics = run_campaign(
+            campaign,
+            fingerprint,
+            centricity_shard,
+            kwargs,
+            total_units=probes,
+            seed=seed,
+            parallelism=parallelism,
+            shards=shards,
+            run_dir=run_dir,
+            progress=progress,
+            profile=profile,
+            initializer=prewarm,
+            initargs=(builder, world_kwargs),
+        )
+        return merge_result_sets([value["results"] for value in values]), metrics
+
+    built = _world_builders()[builder](seed, **world_kwargs)
+    world = getattr(built, "world", built)
+    if fault_plan is not None:
+        world.network.attach_faults(
+            FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
+        )
+    population = make_population(world, probes=probes, seed=seed, predict=predict)
+    spec = MeasurementSpec(qtype=qtype, **spec_kwargs)
+    results = Measurement(
+        spec=spec, vantage_points=population.vantage_points(), seed=seed
+    ).run()
+    return results, None
 
 
 # ------------------------------------------------------------------- Table 1
@@ -279,6 +235,27 @@ def _expected_answer(result) -> bool:
     return result.ok
 
 
+def _centricity_result(
+    name: str,
+    parent_ttl: int,
+    child_ttl: int,
+    results: ResultSet,
+    metrics: Optional[MetricsSnapshot],
+    classify,
+) -> CentricityRun:
+    """Classify a campaign's valid answers into its :class:`CentricityRun`."""
+    valid = results.valid(_expected_answer)
+    return CentricityRun(
+        name=name,
+        parent_ttl=parent_ttl,
+        child_ttl=child_ttl,
+        results=valid,
+        breakdown=classify(valid.ttls(), parent_ttl=parent_ttl, child_ttl=child_ttl),
+        summary=results.summary(_expected_answer),
+        metrics=metrics,
+    )
+
+
 def scenario_uy_ns(
     seed: int = 0,
     probes: int = 300,
@@ -309,57 +286,17 @@ def scenario_uy_ns(
     default predictive policy (refresh-ahead + RFC 8767) — see
     docs/prediction.md.  ``profile`` writes per-shard cProfile stats.
     """
-    fault_plan = _normalize_fault_plan(faults)
-    spec_kwargs = dict(
-        qname="uy.",
-        interval=interval,
-        duration=duration,
-        description=f".uy-NS (child TTL {child_ns_ttl})",
+    results, metrics = _run_centricity(
+        "uy-NS", "uy", {"child_ns_ttl": child_ns_ttl},
+        dict(qname="uy.", interval=interval, duration=duration,
+             description=f".uy-NS (child TTL {child_ns_ttl})"),
+        RdataType.NS, seed=seed, probes=probes, parallelism=parallelism,
+        shards=shards, run_dir=run_dir, progress=progress, faults=faults,
+        predict=predict, profile=profile, snapshot_every=snapshot_every,
     )
-    metrics = None
-    if parallelism is not None:
-        results, metrics = _run_centricity_sharded(
-            campaign="uy-NS",
-            builder="uy",
-            world_kwargs={"child_ns_ttl": child_ns_ttl},
-            spec_kwargs=spec_kwargs,
-            qtype=RdataType.NS,
-            seed=seed,
-            probes=probes,
-            parallelism=parallelism,
-            shards=shards,
-            run_dir=run_dir,
-            progress=progress,
-            fault_plan=fault_plan,
-            predict=predict,
-            profile=profile,
-            snapshot_every=snapshot_every,
-        )
-    else:
-        uy = build_uy_world(seed, child_ns_ttl=child_ns_ttl)
-        if fault_plan is not None:
-            uy.world.network.attach_faults(
-                FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
-            )
-        population = make_population(
-            uy.world, probes=probes, seed=seed, predict=predict
-        )
-        spec = MeasurementSpec(qtype=RdataType.NS, **spec_kwargs)
-        results = Measurement(
-            spec=spec, vantage_points=population.vantage_points(), seed=seed
-        ).run()
-    valid = results.valid(_expected_answer)
-    breakdown = classify_active_ttls(
-        valid.ttls(), parent_ttl=172800, child_ttl=child_ns_ttl
-    )
-    return CentricityRun(
-        name="uy-NS" if child_ns_ttl == 300 else "uy-NS-new",
-        parent_ttl=172800,
-        child_ttl=child_ns_ttl,
-        results=valid,
-        breakdown=breakdown,
-        summary=results.summary(_expected_answer),
-        metrics=metrics,
+    return _centricity_result(
+        "uy-NS" if child_ns_ttl == 300 else "uy-NS-new", 172800, child_ns_ttl,
+        results, metrics, classify_active_ttls,
     )
 
 
@@ -378,55 +315,16 @@ def scenario_anicuy_a(
 ) -> CentricityRun:
     """The a.nic.uy-A campaign (Table 2 col 2; Figure 1): parent glue
     172800 s, child A 120 s, every 10 min for 3 h."""
-    fault_plan = _normalize_fault_plan(faults)
-    spec_kwargs = dict(
-        qname="a.nic.uy.",
-        interval=600.0,
-        duration=duration,
-        description="a.nic.uy-A",
+    results, metrics = _run_centricity(
+        "a.nic.uy-A", "uy", {},
+        dict(qname="a.nic.uy.", interval=600.0, duration=duration,
+             description="a.nic.uy-A"),
+        RdataType.A, seed=seed, probes=probes, parallelism=parallelism,
+        shards=shards, run_dir=run_dir, progress=progress, faults=faults,
+        predict=predict, profile=profile, snapshot_every=snapshot_every,
     )
-    metrics = None
-    if parallelism is not None:
-        results, metrics = _run_centricity_sharded(
-            campaign="a.nic.uy-A",
-            builder="uy",
-            world_kwargs={},
-            spec_kwargs=spec_kwargs,
-            qtype=RdataType.A,
-            seed=seed,
-            probes=probes,
-            parallelism=parallelism,
-            shards=shards,
-            run_dir=run_dir,
-            progress=progress,
-            fault_plan=fault_plan,
-            predict=predict,
-            profile=profile,
-            snapshot_every=snapshot_every,
-        )
-    else:
-        uy = build_uy_world(seed)
-        if fault_plan is not None:
-            uy.world.network.attach_faults(
-                FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
-            )
-        population = make_population(
-            uy.world, probes=probes, seed=seed, predict=predict
-        )
-        spec = MeasurementSpec(qtype=RdataType.A, **spec_kwargs)
-        results = Measurement(
-            spec=spec, vantage_points=population.vantage_points(), seed=seed
-        ).run()
-    valid = results.valid(_expected_answer)
-    breakdown = classify_active_ttls(valid.ttls(), parent_ttl=172800, child_ttl=120)
-    return CentricityRun(
-        name="a.nic.uy-A",
-        parent_ttl=172800,
-        child_ttl=120,
-        results=valid,
-        breakdown=breakdown,
-        summary=results.summary(_expected_answer),
-        metrics=metrics,
+    return _centricity_result(
+        "a.nic.uy-A", 172800, 120, results, metrics, classify_active_ttls
     )
 
 
@@ -445,57 +343,17 @@ def scenario_googleco_ns(
 ) -> CentricityRun:
     """The google.co-NS campaign (Table 2 col 3; Figure 2): parent 900 s,
     child 345600 s, every 10 min for 1 h."""
-    fault_plan = _normalize_fault_plan(faults)
-    spec_kwargs = dict(
-        qname="google.co.",
-        interval=600.0,
-        duration=duration,
-        description="google.co-NS",
+    results, metrics = _run_centricity(
+        "google.co-NS", "googleco", {},
+        dict(qname="google.co.", interval=600.0, duration=duration,
+             description="google.co-NS"),
+        RdataType.NS, seed=seed, probes=probes, parallelism=parallelism,
+        shards=shards, run_dir=run_dir, progress=progress, faults=faults,
+        predict=predict, profile=profile, snapshot_every=snapshot_every,
     )
-    metrics = None
-    if parallelism is not None:
-        results, metrics = _run_centricity_sharded(
-            campaign="google.co-NS",
-            builder="googleco",
-            world_kwargs={},
-            spec_kwargs=spec_kwargs,
-            qtype=RdataType.NS,
-            seed=seed,
-            probes=probes,
-            parallelism=parallelism,
-            shards=shards,
-            run_dir=run_dir,
-            progress=progress,
-            fault_plan=fault_plan,
-            predict=predict,
-            profile=profile,
-            snapshot_every=snapshot_every,
-        )
-    else:
-        world = build_googleco_world(seed)
-        if fault_plan is not None:
-            world.network.attach_faults(
-                FaultInjector(FaultPlan.from_payload(fault_plan), seed=seed)
-            )
-        population = make_population(
-            world, probes=probes, seed=seed, predict=predict
-        )
-        spec = MeasurementSpec(qtype=RdataType.NS, **spec_kwargs)
-        results = Measurement(
-            spec=spec, vantage_points=population.vantage_points(), seed=seed
-        ).run()
-    valid = results.valid(_expected_answer)
-    breakdown = classify_capped_or_child(
-        valid.ttls(), parent_ttl=900, child_ttl=345600, cap=21599
-    )
-    return CentricityRun(
-        name="google.co-NS",
-        parent_ttl=900,
-        child_ttl=345600,
-        results=valid,
-        breakdown=breakdown,
-        summary=results.summary(_expected_answer),
-        metrics=metrics,
+    return _centricity_result(
+        "google.co-NS", 900, 345600, results, metrics,
+        partial(classify_capped_or_child, cap=21599),
     )
 
 
@@ -824,24 +682,41 @@ class ControlledRun:
     auth_queries: int
     auth_unique_ips: int
     client_summary: dict[str, int]
-    #: This run's metrics snapshot (sharded runs only; None otherwise).
+    #: This run's metrics snapshot (set by :func:`scenario_controlled_ttl`).
     metrics: Optional[MetricsSnapshot] = None
+
+    @property
+    def queries(self) -> int:
+        return self.client_summary["queries"]
 
     def rtts_ms(self) -> list[float]:
         return self.results.rtts_ms()
+
+
+#: The five §6.2 experiments: label -> (qname, zone, server).
+_CONTROLLED_RUNS: dict[str, tuple[str, str, str]] = {
+    "TTL60-u": ("PROBEID.ttl60.mapache-de-madrid.co.",
+                "zone_unicast_60", "unicast_server"),
+    "TTL86400-u": ("PROBEID.ttl86400.mapache-de-madrid.co.",
+                   "zone_unicast_86400", "unicast_server"),
+    "TTL60-s": ("1.ttl60.mapache-de-madrid.co.",
+                "zone_unicast_60", "unicast_server"),
+    "TTL86400-s": ("2.ttl86400.mapache-de-madrid.co.",
+                   "zone_unicast_86400", "unicast_server"),
+    "TTL60-anycast": ("4.anycast.mapache-de-madrid.co.",
+                      "zone_anycast", "anycast"),
+}
 
 
 def _run_controlled(
     label: str,
     seed: int,
     probes: int,
-    qname: str,
-    zone_attr: str,
-    server_attr: str,
     duration: float,
     interval: float = 600.0,
     metrics: Optional[MetricsRegistry] = None,
 ) -> ControlledRun:
+    qname, zone_attr, server_attr = _CONTROLLED_RUNS[label]
     world = build_controlled_world(seed)
     if metrics is not None:
         world.world.network.attach_metrics(metrics)
@@ -871,21 +746,6 @@ def _run_controlled(
     )
 
 
-#: The five §6.2 experiments: label -> (seed offset, qname, zone, server).
-_CONTROLLED_RUNS: list[tuple[str, int, str, str, str]] = [
-    ("TTL60-u", 0, "PROBEID.ttl60.mapache-de-madrid.co.",
-     "zone_unicast_60", "unicast_server"),
-    ("TTL86400-u", 1, "PROBEID.ttl86400.mapache-de-madrid.co.",
-     "zone_unicast_86400", "unicast_server"),
-    ("TTL60-s", 2, "1.ttl60.mapache-de-madrid.co.",
-     "zone_unicast_60", "unicast_server"),
-    ("TTL86400-s", 3, "2.ttl86400.mapache-de-madrid.co.",
-     "zone_unicast_86400", "unicast_server"),
-    ("TTL60-anycast", 4, "4.anycast.mapache-de-madrid.co.",
-     "zone_anycast", "anycast"),
-]
-
-
 def scenario_controlled_ttl(
     seed: int = 0,
     probes: int = 300,
@@ -898,51 +758,22 @@ def scenario_controlled_ttl(
     """Table 10 / Figure 11: the five controlled experiments.
 
     Unique-QNAME runs use PROBEID names; shared runs a single name; the
-    anycast run uses the 45-site cluster.  Each runs in a fresh world —
-    so with ``parallelism`` set the five runs execute as one shard each
-    through :mod:`repro.runner`, and (unlike the probe-sharded
-    centricity campaigns) the parallel output is identical to this
-    function's serial output.
+    anycast run uses the 45-site cluster.  Each runs in a fresh world
+    seeded ``seed + i`` as one cell of a :class:`CellMatrix` — so the
+    output is identical for every worker count.
     """
-    run_params = [
-        {
-            "label": label,
-            "seed": seed + offset,
-            "probes": probes,
-            "qname": qname,
-            "zone_attr": zone_attr,
-            "server_attr": server_attr,
-            "duration": duration,
-        }
-        for label, offset, qname, zone_attr, server_attr in _CONTROLLED_RUNS
-    ]
-    if parallelism is None:
-        return {
-            params["label"]: _run_controlled(**params) for params in run_params
-        }
-
-    from repro.runner.campaigns import campaign_fingerprint, controlled_shard
-
-    fingerprint = campaign_fingerprint(
-        "controlled-ttl", seed=seed, probes=probes, duration=duration
-    )
-    outcomes, _ = _run_sharded_campaign(
-        "controlled-ttl",
-        fingerprint,
-        controlled_shard,
-        {"runs": run_params},
-        total_units=len(run_params),
-        seed=seed,
-        parallelism=parallelism,
-        shards=len(run_params),
-        run_dir=run_dir,
-        progress=progress,
-        profile=profile,
-    )
+    values, _ = CellMatrix(
+        kind="controlled-ttl",
+        label="controlled",
+        cell_fn="controlled",
+        axes={"label": tuple(_CONTROLLED_RUNS)},
+        fixed={"probes": probes, "duration": duration},
+    ).run(seed, parallelism=parallelism, run_dir=run_dir, progress=progress,
+          profile=profile)
     runs: dict[str, ControlledRun] = {}
-    for outcome in outcomes:
-        run = outcome.value["results"]
-        run.metrics = MetricsSnapshot.from_payload(outcome.value["metrics"])
+    for value in values:
+        run = value["results"]
+        run.metrics = MetricsSnapshot.from_payload(value["metrics"])
         runs[run.label] = run
     return runs
 
@@ -965,6 +796,11 @@ class DdosTierResult:
     stale_answers: int
     #: Whether the post-attack recovery probe got a fresh answer.
     recovered: bool
+
+    @property
+    def queries(self) -> int:
+        """Resolutions driven: the warm-up, one per slot, the recovery probe."""
+        return self.slots + 2
 
     @property
     def availability(self) -> float:
@@ -1102,64 +938,32 @@ def scenario_ddos_resilience(
 
     Runs a (TTL × serve-stale) matrix of independent tiers: each warms a
     child-centric resolver, takes the zone's only authoritative down via
-    a :class:`FaultPlan`, and probes every ``probe_interval``.  With
-    ``parallelism`` set the tiers run as one shard each through
-    :mod:`repro.runner` — byte-identical to the serial path for any
-    worker count.  ``faults`` schedules *additional* failures on top of
-    the attack in every tier.
+    a :class:`FaultPlan`, and probes every ``probe_interval``.  The
+    tiers are the cells of a :class:`CellMatrix`, one shard each, so the
+    output is identical for every worker count.  ``faults`` schedules
+    *additional* failures on top of the attack in every tier.
     """
     if attack_start is None:
         # Half a slot before the first probe: every probe lands mid-attack.
         attack_start = probe_interval / 2
-    fault_plan = _normalize_fault_plan(faults)
-    tier_params = [
-        {
-            "ttl": ttl,
-            "serve_stale": serve_stale,
-            "seed": seed + index,
+    values, metrics = CellMatrix(
+        kind="ddos-resilience",
+        label="ddos",
+        cell_fn="ddos",
+        axes={"serve_stale": (False, True), "ttl": ttls},
+        fixed={
             "attack_seconds": attack_seconds,
             "probe_interval": probe_interval,
             "attack_start": attack_start,
-            "fault_plan": fault_plan,
-        }
-        for index, (serve_stale, ttl) in enumerate(
-            (s, t) for s in (False, True) for t in ttls
-        )
-    ]
-
-    if parallelism is None:
-        tiers: list[DdosTierResult] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in tier_params:
-            registry = MetricsRegistry()
-            tiers.append(_run_ddos_tier(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, ddos_shard
-
-        fingerprint = campaign_fingerprint(
-            "ddos-resilience", seed=seed, tiers=tier_params
-        )
-        outcomes, metrics = _run_sharded_campaign(
-            "ddos-resilience",
-            fingerprint,
-            ddos_shard,
-            {"tiers": tier_params},
-            total_units=len(tier_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(tier_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        tiers = [outcome.value["results"] for outcome in outcomes]
+            "fault_plan": _normalize_fault_plan(faults),
+        },
+    ).run(seed, parallelism=parallelism, run_dir=run_dir, progress=progress,
+          profile=profile)
     return DdosResilienceRun(
         attack_seconds=attack_seconds,
         probe_interval=probe_interval,
         attack_start=attack_start,
-        tiers=tiers,
+        tiers=[value["results"] for value in values],
         metrics=metrics,
     )
 
@@ -1312,64 +1116,24 @@ def scenario_prefetch_tradeoff(
 
     Runs a (mode × TTL) matrix of independent cells, each a fresh
     :func:`build_hotset_world` plus one resolver under a seeded Zipf
-    workload.  With ``parallelism`` set the cells run as one shard each
-    through :mod:`repro.runner` — byte-identical to the serial path for
-    any worker count, predict machinery included.
+    workload.  The cells run as one shard each through a
+    :class:`CellMatrix` — identical for every worker count, predict
+    machinery included.
     """
-    for mode in modes:
-        if mode not in _PREFETCH_MODES:
-            raise ValueError(
-                f"unknown prefetch mode {mode!r} (have: {', '.join(_PREFETCH_MODES)})"
-            )
-    if not ttls or not modes:
-        raise ValueError("scenario_prefetch_tradeoff needs >= 1 TTL and mode")
-    cell_params = [
-        {
-            "mode": mode,
-            "ttl": ttl,
-            "seed": seed + index,
-            "names": names,
-            "rate_qps": rate_qps,
-            "duration": duration,
-        }
-        for index, (mode, ttl) in enumerate(
-            (m, t) for m in modes for t in ttls
-        )
-    ]
-
-    if parallelism is None:
-        cells: list[PrefetchCell] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in cell_params:
-            registry = MetricsRegistry()
-            cells.append(_run_prefetch_cell(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, prefetch_shard
-
-        fingerprint = campaign_fingerprint(
-            "prefetch-tradeoff", seed=seed, cells=cell_params
-        )
-        outcomes, metrics = _run_sharded_campaign(
-            "prefetch-tradeoff",
-            fingerprint,
-            prefetch_shard,
-            {"cells": cell_params},
-            total_units=len(cell_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(cell_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        cells = [outcome.value["results"] for outcome in outcomes]
+    values, metrics = CellMatrix(
+        kind="prefetch-tradeoff",
+        label="prefetch",
+        cell_fn="prefetch",
+        axes={"mode": modes, "ttl": ttls},
+        known={"mode": _PREFETCH_MODES},
+        fixed={"names": names, "rate_qps": rate_qps, "duration": duration},
+    ).run(seed, parallelism=parallelism, run_dir=run_dir, progress=progress,
+          profile=profile)
     return PrefetchTradeoffRun(
         duration=duration,
         rate_qps=rate_qps,
         names=names,
-        cells=cells,
+        cells=[value["results"] for value in values],
         metrics=metrics,
     )
 
@@ -1570,60 +1334,24 @@ def scenario_ecs_cdn(
 
     Runs a (mode × TTL) matrix of independent cells, each a fresh
     :func:`build_ecs_cdn_world` plus its resolver set under a seeded
-    workload.  With ``parallelism`` set the cells run as one shard each
-    through :mod:`repro.runner` — byte-identical to the serial path for
-    any worker count, scoped-cache metrics included.
+    workload.  The cells run as one shard each through a
+    :class:`CellMatrix` — identical for every worker count, scoped-cache
+    metrics included.
     """
-    for mode in modes:
-        if mode not in _ECS_MODES:
-            raise ValueError(
-                f"unknown ECS mode {mode!r} (have: {', '.join(_ECS_MODES)})"
-            )
-    if not ttls or not modes:
-        raise ValueError("scenario_ecs_cdn needs >= 1 TTL and mode")
-    cell_params = [
-        {
-            "mode": mode,
-            "ttl": ttl,
-            "seed": seed + index,
-            "subnets": subnets,
-            "rate_qps": rate_qps,
-            "duration": duration,
-        }
-        for index, (mode, ttl) in enumerate((m, t) for m in modes for t in ttls)
-    ]
-
-    if parallelism is None:
-        cells: list[EcsCell] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in cell_params:
-            registry = MetricsRegistry()
-            cells.append(_run_ecs_cell(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, ecs_shard
-
-        fingerprint = campaign_fingerprint("ecs-cdn", seed=seed, cells=cell_params)
-        outcomes, metrics = _run_sharded_campaign(
-            "ecs-cdn",
-            fingerprint,
-            ecs_shard,
-            {"cells": cell_params},
-            total_units=len(cell_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(cell_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        cells = [outcome.value["results"] for outcome in outcomes]
+    values, metrics = CellMatrix(
+        kind="ecs-cdn",
+        label="ECS",
+        cell_fn="ecs",
+        axes={"mode": modes, "ttl": ttls},
+        known={"mode": _ECS_MODES},
+        fixed={"subnets": subnets, "rate_qps": rate_qps, "duration": duration},
+    ).run(seed, parallelism=parallelism, run_dir=run_dir, progress=progress,
+          profile=profile)
     return EcsCdnRun(
         duration=duration,
         rate_qps=rate_qps,
         subnets=subnets,
-        cells=cells,
+        cells=[value["results"] for value in values],
         metrics=metrics,
     )
 
@@ -1683,6 +1411,10 @@ class PushCell:
     #: Jung et al. closed-form check: a poll-mode seat probing at
     #: ``1/probe_interval`` misses at ``lambda/(1 + lambda*TTL)`` qps.
     analytic_poll_miss_qps: float
+
+    @property
+    def queries(self) -> int:
+        return self.probes
 
     @property
     def answered_rate(self) -> float:
@@ -1957,74 +1689,31 @@ def scenario_push_vs_poll(
     :func:`build_push_world` whose ``record_change`` schedule renumbers
     the probed answer mid-run.  Both modes consume the *same* seeded
     schedule and the *same* probe cadence; only the update channel
-    differs.  With ``parallelism`` set the cells run as one shard each
-    through :mod:`repro.runner` — byte-identical to the serial path for
-    any worker count, push metrics included.  ``faults`` schedules extra
-    failures on top of every cell's own plan.
+    differs.  The cells run as one shard each through a
+    :class:`CellMatrix` — identical for every worker count, push metrics
+    included.  ``faults`` schedules extra failures on top of every
+    cell's own plan.
     """
-    for plan in plans:
-        if plan not in _PUSH_PLANS:
-            raise ValueError(
-                f"unknown push plan {plan!r} (have: {', '.join(_PUSH_PLANS)})"
-            )
-    for mode in modes:
-        if mode not in _PUSH_MODES:
-            raise ValueError(
-                f"unknown push mode {mode!r} (have: {', '.join(_PUSH_MODES)})"
-            )
-    if not ttls or not plans or not modes:
-        raise ValueError("scenario_push_vs_poll needs >= 1 TTL, plan and mode")
-    fault_plan = _normalize_fault_plan(faults)
-    cell_params = [
-        {
-            "plan": plan,
-            "mode": mode,
-            "ttl": ttl,
-            "seed": seed + index,
+    values, metrics = CellMatrix(
+        kind="push-vs-poll",
+        label="push",
+        cell_fn="push",
+        axes={"plan": plans, "mode": modes, "ttl": ttls},
+        known={"plan": _PUSH_PLANS, "mode": _PUSH_MODES},
+        fixed={
             "seats": seats,
             "changes": changes,
             "probe_interval": probe_interval,
             "duration": duration,
-            "fault_plan": fault_plan,
-        }
-        for index, (plan, mode, ttl) in enumerate(
-            (p, m, t) for p in plans for m in modes for t in ttls
-        )
-    ]
-
-    if parallelism is None:
-        cells: list[PushCell] = []
-        snapshots: list[MetricsSnapshot] = []
-        for params in cell_params:
-            registry = MetricsRegistry()
-            cells.append(_run_push_cell(**params, metrics=registry))
-            snapshots.append(registry.snapshot())
-        metrics = merge_snapshots(snapshots)
-    else:
-        from repro.runner.campaigns import campaign_fingerprint, push_shard
-
-        fingerprint = campaign_fingerprint(
-            "push-vs-poll", seed=seed, cells=cell_params
-        )
-        outcomes, metrics = _run_sharded_campaign(
-            "push-vs-poll",
-            fingerprint,
-            push_shard,
-            {"cells": cell_params},
-            total_units=len(cell_params),
-            seed=seed,
-            parallelism=parallelism,
-            shards=len(cell_params),
-            run_dir=run_dir,
-            progress=progress,
-            profile=profile,
-        )
-        cells = [outcome.value["results"] for outcome in outcomes]
+            "fault_plan": _normalize_fault_plan(faults),
+        },
+    ).run(seed, parallelism=parallelism, run_dir=run_dir, progress=progress,
+          profile=profile)
     return PushVsPollRun(
         duration=duration,
         probe_interval=probe_interval,
         changes=changes,
         seats=seats,
-        cells=cells,
+        cells=[value["results"] for value in values],
         metrics=metrics,
     )

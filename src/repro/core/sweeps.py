@@ -1,15 +1,11 @@
 """Parameter sweeps: generalizing the paper's point comparisons to curves.
 
-The paper compares discrete configurations (TTL 300 s vs 86400 s; attack
-shorter vs longer than the TTL).  These sweeps fill in the curve between
-the points:
-
-- :func:`ttl_latency_sweep` — the .uy experiment as a function of the
-  child NS TTL (generalizes Figure 10a),
-- :func:`ddos_availability_sweep` — answer availability during an
-  authoritative outage as a function of the record TTL (quantifies §6.1's
-  "longer caching is more robust to DDoS attacks" and Moura et al.'s
-  "TTLs must be longer than the attack").
+The paper compares discrete configurations (TTL 300 s vs 86400 s).
+:func:`ttl_latency_sweep` fills in the curve between the points: the .uy
+experiment as a function of the child NS TTL (generalizes Figure 10a).
+Availability during an authoritative outage as a function of the TTL
+(§6.1) is the TTL axis of
+:func:`repro.core.scenarios.scenario_ddos_resilience`.
 """
 
 from __future__ import annotations
@@ -19,11 +15,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.cdf import ECDF
 from repro.core.scenarios import scenario_uy_ns
-from repro.dns.message import Rcode
-from repro.dns.rdtypes import RdataType
-from repro.net.topology import Region
-from repro.resolver.policy import ResolverPolicy
-from repro.resolver.recursive import RecursiveResolver
 
 
 @dataclass(frozen=True)
@@ -68,68 +59,3 @@ def ttl_latency_sweep(
             )
         )
     return points
-
-
-@dataclass(frozen=True)
-class AvailabilityPoint:
-    ttl: int
-    attack_seconds: float
-    availability: float  # fraction of probe slots answered during attack
-    served_stale_fraction: float
-
-
-def ddos_availability_sweep(
-    ttls: Sequence[int] = (60, 300, 1800, 3600, 86400),
-    attack_seconds: float = 3600.0,
-    probe_interval: float = 300.0,
-    seed: int = 0,
-    serve_stale: bool = False,
-) -> list[AvailabilityPoint]:
-    """Answer availability while the zone's authoritatives are down.
-
-    One warmed child-centric resolver is probed every ``probe_interval``
-    during an ``attack_seconds`` outage; availability is the fraction of
-    probes answered (from cache, or stale if ``serve_stale``).  Moura et
-    al.'s finding — reproduced here — is that availability is ~1 while
-    TTL ≥ attack duration and collapses below it.
-    """
-    from repro.core.worlds import build_outage_world
-
-    points: list[AvailabilityPoint] = []
-    policy = ResolverPolicy.child_centric().with_(serve_stale=serve_stale)
-    for ttl in ttls:
-        outage = build_outage_world(ttl, seed)
-        world, server = outage.world, outage.server
-        resolver = RecursiveResolver(
-            endpoint=world.topology.endpoint_in_region(Region.EU, "res"),
-            network=world.network,
-            root_hints=world.hints,
-            policy=policy,
-        )
-        # Warm the cache just before the attack begins.
-        warm = resolver.resolve("www.shop.example.", RdataType.A, now=0.0)
-        assert warm.rcode == Rcode.NOERROR
-        world.network.loss.take_down(server.endpoint.address)
-
-        answered = 0
-        stale = 0
-        slots = 0
-        t = probe_interval
-        while t <= attack_seconds:
-            out = resolver.resolve("www.shop.example.", RdataType.A, now=t)
-            slots += 1
-            if out.rcode == Rcode.NOERROR and out.answers:
-                answered += 1
-                stale += out.served_stale
-            t += probe_interval
-        points.append(
-            AvailabilityPoint(
-                ttl=ttl,
-                attack_seconds=attack_seconds,
-                availability=answered / slots if slots else 0.0,
-                served_stale_fraction=stale / slots if slots else 0.0,
-            )
-        )
-    return points
-
-

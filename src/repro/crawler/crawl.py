@@ -253,39 +253,28 @@ def crawl_parallel(
     the shards' sim-domain snapshots with the executor's host telemetry.
     """
     from repro.crawler.toplists import planned_list_sizes
-    from repro.metrics.registry import MetricsRegistry
-    from repro.runner.campaigns import campaign_fingerprint, crawl_shard
-    from repro.runner.checkpoint import CheckpointStore
-    from repro.runner.codec import decode_shard_payload
-    from repro.runner.executor import ShardExecutor
-    from repro.runner.merge import merge_crawl_results, merge_shard_metrics
-    from repro.runner.progress import ProgressTracker
-    from repro.runner.shard import DEFAULT_SHARDS, plan_shards
+    from repro.runner.campaigns import campaign_fingerprint, crawl_shard, run_campaign
+    from repro.runner.merge import merge_crawl_results
+    from repro.runner.shard import DEFAULT_SHARDS
 
     total = sum(planned_list_sizes(scale, lists).values())
     num_shards = shards if shards is not None else DEFAULT_SHARDS
     kwargs = {"scale": scale, "seed": seed, "lists": lists, "timeout": timeout}
-    fingerprint = campaign_fingerprint("crawl", shards=num_shards, **kwargs)
-    checkpoint = (
-        CheckpointStore(run_dir, fingerprint) if run_dir is not None else None
-    )
-    tracker = ProgressTracker(campaign="crawl", callback=progress)
-    host_registry = MetricsRegistry()
-    executor = ShardExecutor(
+    values, metrics = run_campaign(
+        "crawl",
+        campaign_fingerprint("crawl", shards=num_shards, **kwargs),
+        crawl_shard,
+        kwargs,
+        total_units=total,
+        seed=seed,
         parallelism=parallelism,
-        checkpoint=checkpoint,
-        tracker=tracker,
-        metrics=host_registry,
-        profile_path=profile,
+        shards=num_shards,
+        run_dir=run_dir,
+        progress=progress,
+        profile=profile,
     )
-    outcomes = executor.run(crawl_shard, plan_shards(total, num_shards, seed), kwargs)
-    for outcome in outcomes:
-        outcome.value = decode_shard_payload(outcome.value)
     result, total_queries = merge_crawl_results(
-        [outcome.value["results"] for outcome in outcomes],
-        queries=[outcome.value["queries"] for outcome in outcomes],
+        [value["results"] for value in values],
+        queries=[value["queries"] for value in values],
     )
-    metrics = merge_shard_metrics(
-        [outcome.value for outcome in outcomes]
-    ).merge(host_registry.snapshot())
     return result, total_queries, metrics

@@ -1,4 +1,12 @@
-"""Picklable per-shard entry points for the paper's campaigns.
+"""Campaign plumbing: fingerprints, the sharded run, and shard entry points.
+
+:func:`run_campaign` is the one way a campaign executes: a shard plan,
+a :class:`repro.runner.executor.ShardExecutor` (in-process for
+``parallelism`` ``None`` or 1, a process pool above), optional
+checkpoints, and one merged metrics snapshot.  :class:`CellMatrix`
+declares the scenario matrices (§6.1 DDoS tiers, §6.2 controlled runs,
+prefetch, ECS, push) as a product of axes, one cell per shard, run by
+the single :func:`cell_shard`.
 
 Worker processes cannot ship a live simulated Internet across a pipe, so
 each shard *derives* its slice of the campaign from the shard seed: a
@@ -14,11 +22,13 @@ is exactly equivalent to a rebuild because world *structure* never
 depends on the seed (asserted by the worldcache tests).
 
 Shard return values are :func:`repro.runner.codec.encode_shard_payload`
-envelopes; the scenario layer decodes them after the executor returns.
+envelopes; :func:`run_campaign` decodes them after the executor returns.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.runner.codec import PAYLOAD_VERSION as SHARD_PAYLOAD_VERSION
@@ -26,14 +36,13 @@ from repro.runner.codec import encode_shard_payload
 from repro.runner.shard import Shard
 
 __all__ = [
+    "CELL_FUNCTIONS",
+    "CellMatrix",
+    "cell_shard",
     "centricity_shard",
-    "controlled_shard",
     "crawl_shard",
-    "ddos_shard",
-    "ecs_shard",
-    "prefetch_shard",
-    "push_shard",
     "campaign_fingerprint",
+    "run_campaign",
     "SHARD_PAYLOAD_VERSION",
 ]
 
@@ -45,6 +54,69 @@ def campaign_fingerprint(kind: str, **params: Any) -> dict[str, Any]:
         "payload_version": SHARD_PAYLOAD_VERSION,
         "params": dict(sorted(params.items())),
     }
+
+
+def run_campaign(
+    campaign: str,
+    fingerprint: dict,
+    fn,
+    kwargs: dict,
+    *,
+    total_units: int,
+    seed: int,
+    parallelism: Optional[int] = None,
+    shards: Optional[int] = None,
+    run_dir: Optional[str] = None,
+    progress=None,
+    profile: Optional[str] = None,
+    initializer=None,
+    initargs: tuple = (),
+):
+    """Run ``fn`` over a campaign's shard plan and merge the outcomes.
+
+    ``parallelism`` ``None`` or 1 runs the shards in-process; either way
+    the shard plan depends only on ``(total_units, shards, seed)``, so
+    results are identical for every worker count — the runner's
+    determinism contract.  With ``shards`` unset the plan uses the fixed
+    :data:`repro.runner.shard.DEFAULT_SHARDS`, never the worker count,
+    so that contract holds for the defaults too.
+
+    ``run_dir`` checkpoints completed shards under ``fingerprint``;
+    ``profile`` dumps per-shard cProfile stats to
+    ``f"{profile}.shard-NNNN"``; ``initializer``/``initargs`` run once
+    per worker process (world-cache prewarm).
+
+    Returns ``(values, metrics)``: each shard's payload in shard order,
+    decoded to ``{"results", "queries", "metrics"}``, plus one merged
+    :class:`repro.metrics.MetricsSnapshot` — the shards' sim-domain
+    metrics folded exactly, with the executor's host-domain telemetry
+    (wall times, retries, checkpoint hits) alongside.
+    """
+    from repro.metrics.registry import MetricsRegistry
+    from repro.runner.checkpoint import CheckpointStore
+    from repro.runner.codec import decode_shard_payload
+    from repro.runner.executor import ShardExecutor
+    from repro.runner.merge import merge_shard_metrics
+    from repro.runner.progress import ProgressTracker
+    from repro.runner.shard import DEFAULT_SHARDS, plan_shards
+
+    num_shards = shards if shards is not None else DEFAULT_SHARDS
+    host_registry = MetricsRegistry()
+    executor = ShardExecutor(
+        parallelism=1 if parallelism is None else parallelism,
+        checkpoint=(
+            CheckpointStore(run_dir, fingerprint) if run_dir is not None else None
+        ),
+        tracker=ProgressTracker(campaign=campaign, callback=progress),
+        metrics=host_registry,
+        initializer=initializer,
+        initargs=initargs,
+        profile_path=profile,
+    )
+    outcomes = executor.run(fn, plan_shards(total_units, num_shards, seed), kwargs)
+    values = [decode_shard_payload(outcome.value) for outcome in outcomes]
+    metrics = merge_shard_metrics(values).merge(host_registry.snapshot())
+    return values, metrics
 
 
 # ------------------------------------------------------------- centricity
@@ -187,72 +259,37 @@ def centricity_shard(
     )
 
 
-# ------------------------------------------------------------- controlled TTL
+# ------------------------------------------------------------- cell matrices
 
 
-def controlled_shard(
-    shard: Shard, *, runs: list[dict[str, Any]]
+#: Cell functions a matrix shard may run: registered name -> attribute of
+#: :mod:`repro.core.scenarios` (names, not callables, cross the process
+#: boundary).  Each takes its cell's parameters plus ``metrics=`` and
+#: returns a result whose ``queries`` counts the simulated queries.
+CELL_FUNCTIONS = {
+    "controlled": "_run_controlled",
+    "ddos": "_run_ddos_tier",
+    "ecs": "_run_ecs_cell",
+    "prefetch": "_run_prefetch_cell",
+    "push": "_run_push_cell",
+}
+
+
+def cell_shard(
+    shard: Shard, *, cell_fn: str, cells: list[dict[str, Any]]
 ) -> dict[str, Any]:
-    """Run one of the §6.2 controlled experiments (one shard per run).
+    """Run one cell of a :class:`CellMatrix` (one shard per cell).
 
-    ``runs[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_controlled` receives, so the
-    sharded campaign reproduces the serial scenario verbatim.
+    ``cells[shard.index]`` carries exactly the arguments the registered
+    cell function receives, so every worker count — and the in-process
+    path — runs the same call with a fresh metrics registry.
     """
-    from repro.core.scenarios import _run_controlled
+    from repro.core import scenarios
     from repro.metrics.registry import MetricsRegistry
 
+    run_cell = getattr(scenarios, CELL_FUNCTIONS[cell_fn])
     registry = MetricsRegistry()
-    run = _run_controlled(**runs[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=run,
-        queries=run.client_summary["queries"],
-        metrics=registry.snapshot().to_payload(),
-    )
-
-
-# ------------------------------------------------------------- ddos resilience
-
-
-def ddos_shard(shard: Shard, *, tiers: list[dict[str, Any]]) -> dict[str, Any]:
-    """Run one TTL tier of the §6.1 resilience scenario (one shard per tier).
-
-    ``tiers[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_ddos_tier` receives, so the sharded
-    campaign reproduces the serial scenario verbatim — including the
-    fault schedule, which is part of the tier parameters.
-    """
-    from repro.core.scenarios import _run_ddos_tier
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_ddos_tier(**tiers[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=result,
-        queries=result.slots + 2,
-        metrics=registry.snapshot().to_payload(),
-    )
-
-
-# ------------------------------------------------------------- prefetch
-
-
-def prefetch_shard(
-    shard: Shard, *, cells: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Run one (mode, TTL) cell of the prefetch trade-off (one shard per cell).
-
-    ``cells[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_prefetch_cell` receives, so the
-    sharded campaign reproduces the serial scenario verbatim — the
-    predict machinery runs on the sim clock and stays byte-identical
-    for any worker count.
-    """
-    from repro.core.scenarios import _run_prefetch_cell
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_prefetch_cell(**cells[shard.index], metrics=registry)
+    result = run_cell(**cells[shard.index], metrics=registry)
     return encode_shard_payload(
         results=result,
         queries=result.queries,
@@ -260,54 +297,68 @@ def prefetch_shard(
     )
 
 
-# ------------------------------------------------------------- ecs-cdn
+@dataclass(frozen=True)
+class CellMatrix:
+    """A campaign of independent cells: the product of its axes.
 
-
-def ecs_shard(
-    shard: Shard, *, cells: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Run one (mode, TTL) cell of the ECS/CDN matrix (one shard per cell).
-
-    ``cells[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_ecs_cell` receives, so the sharded
-    campaign reproduces the serial scenario verbatim — subnet-scoped
-    cache metrics included.
+    ``axes`` maps each axis name to its values, outermost axis first;
+    ``known`` lists the admissible values of the closed axes (modes,
+    plans).  Cell ``i`` of the product is ``{axis: value, ...,
+    "seed": seed + i, **fixed}`` and runs as shard ``i`` through
+    :func:`cell_shard` — one path for every worker count, in-process
+    included.  ``label`` names the matrix in error messages.
     """
-    from repro.core.scenarios import _run_ecs_cell
-    from repro.metrics.registry import MetricsRegistry
 
-    registry = MetricsRegistry()
-    result = _run_ecs_cell(**cells[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=result,
-        queries=result.queries,
-        metrics=registry.snapshot().to_payload(),
-    )
+    kind: str
+    label: str
+    cell_fn: str
+    axes: dict[str, tuple]
+    fixed: dict[str, Any] = field(default_factory=dict)
+    known: dict[str, tuple] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        for axis, values in self.axes.items():
+            if not values:
+                raise ValueError(f"{self.label} matrix needs >= 1 {axis}")
+            known = self.known.get(axis, values)
+            for value in values:
+                if value not in known:
+                    raise ValueError(
+                        f"unknown {self.label} {axis} {value!r} "
+                        f"(have: {', '.join(map(str, known))})"
+                    )
 
-# ------------------------------------------------------------- push-vs-poll
+    def cells(self, seed: int) -> list[dict[str, Any]]:
+        """Every cell's parameters, in shard order."""
+        return [
+            {**dict(zip(self.axes, values)), "seed": seed + index, **self.fixed}
+            for index, values in enumerate(itertools.product(*self.axes.values()))
+        ]
 
-
-def push_shard(
-    shard: Shard, *, cells: list[dict[str, Any]]
-) -> dict[str, Any]:
-    """Run one (plan, mode, TTL) cell of the push-vs-poll matrix.
-
-    ``cells[shard.index]`` carries exactly the arguments the serial
-    :func:`repro.core.scenarios._run_push_cell` receives, so the sharded
-    campaign reproduces the serial scenario verbatim — push session and
-    staleness metrics included.
-    """
-    from repro.core.scenarios import _run_push_cell
-    from repro.metrics.registry import MetricsRegistry
-
-    registry = MetricsRegistry()
-    result = _run_push_cell(**cells[shard.index], metrics=registry)
-    return encode_shard_payload(
-        results=result,
-        queries=result.probes,
-        metrics=registry.snapshot().to_payload(),
-    )
+    def run(
+        self,
+        seed: int,
+        *,
+        parallelism: Optional[int] = None,
+        run_dir: Optional[str] = None,
+        progress=None,
+        profile: Optional[str] = None,
+    ):
+        """Run every cell; returns ``(values, metrics)`` as :func:`run_campaign`."""
+        cells = self.cells(seed)
+        return run_campaign(
+            self.kind,
+            campaign_fingerprint(self.kind, seed=seed, cells=cells),
+            cell_shard,
+            {"cell_fn": self.cell_fn, "cells": cells},
+            total_units=len(cells),
+            seed=seed,
+            parallelism=parallelism,
+            shards=len(cells),
+            run_dir=run_dir,
+            progress=progress,
+            profile=profile,
+        )
 
 
 # ------------------------------------------------------------- crawl

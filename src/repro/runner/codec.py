@@ -25,14 +25,14 @@ Two kinds exist:
     rows (asserted by the codec round-trip tests).
 
 ``"pickle"``
-    Anything else (controlled/ddos/prefetch/crawl result objects)
+    Anything else (scenario-matrix cells, crawl results)
     passes through untouched — the envelope still carries the uniform
     ``queries``/``metrics`` fields every consumer needs.
 
 :func:`decode_shard_payload` returns the legacy
 ``{"results": ..., "queries": int, "metrics": payload}`` dict the
 scenario-layer mergers have always consumed, so everything downstream
-of :func:`repro.core.scenarios._run_sharded_campaign` is unchanged.
+of :func:`repro.runner.campaigns.run_campaign` is unchanged.
 
 Bumping :data:`PAYLOAD_VERSION` deliberately invalidates old run
 directories: the version is embedded in every campaign fingerprint, so

@@ -58,6 +58,17 @@ class TestParameters:
         restarts = run.metrics.to_payload()["metrics"]["resolver.restarts"]
         assert restarts["value"] >= 1
 
+    def test_serve_stale_rescues_short_ttls(self):
+        # A half-hour attack on a one-minute TTL: the plain tier goes dark
+        # for most slots, the serve-stale tier answers every one of them,
+        # mostly from expired cache.
+        run = scenario_ddos_resilience(ttls=(60,), attack_seconds=1800.0, seed=1)
+        plain = run.tier(60, serve_stale=False)
+        stale = run.tier(60, serve_stale=True)
+        assert stale.availability > plain.availability
+        assert stale.availability == 1.0
+        assert stale.served_stale_fraction > 0.5
+
     def test_attack_shorter_than_ttl_is_invisible(self):
         run = scenario_ddos_resilience(ttls=(86400,), attack_seconds=1200.0)
         assert run.tier(86400, serve_stale=False).availability == 1.0

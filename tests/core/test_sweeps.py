@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.sweeps import (
-    AvailabilityPoint,
-    ddos_availability_sweep,
-    ttl_latency_sweep,
-)
+from repro.core.sweeps import ttl_latency_sweep
 
 
 class TestTtlLatencySweep:
@@ -27,42 +23,3 @@ class TestTtlLatencySweep:
 
     def test_samples_recorded(self, points):
         assert all(p.samples > 0 for p in points)
-
-
-class TestDdosAvailabilitySweep:
-    @pytest.fixture(scope="class")
-    def points(self):
-        return ddos_availability_sweep(
-            ttls=(60, 1800, 3600, 86400), attack_seconds=3600.0, seed=1
-        )
-
-    def test_availability_monotone_in_ttl(self, points):
-        availability = [p.availability for p in points]
-        assert availability == sorted(availability)
-
-    def test_short_ttl_goes_dark(self, points):
-        by_ttl = {p.ttl: p for p in points}
-        assert by_ttl[60].availability < 0.1
-
-    def test_ttl_longer_than_attack_survives(self, points):
-        """Moura et al. / paper §6.1: caches outliving the attack keep
-        answering throughout."""
-        by_ttl = {p.ttl: p for p in points}
-        assert by_ttl[86400].availability == 1.0
-
-    def test_ttl_equal_to_attack_mostly_survives(self, points):
-        by_ttl = {p.ttl: p for p in points}
-        assert by_ttl[3600].availability > 0.9
-
-    def test_serve_stale_rescues_short_ttls(self):
-        plain = ddos_availability_sweep(ttls=(60,), attack_seconds=1800.0, seed=1)
-        stale = ddos_availability_sweep(
-            ttls=(60,), attack_seconds=1800.0, seed=1, serve_stale=True
-        )
-        assert stale[0].availability > plain[0].availability
-        assert stale[0].availability == 1.0
-        assert stale[0].served_stale_fraction > 0.5
-
-    def test_point_shape(self, points):
-        assert all(isinstance(p, AvailabilityPoint) for p in points)
-        assert all(0.0 <= p.availability <= 1.0 for p in points)
