@@ -23,8 +23,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from benchmarks.perf_records import record_perf
 from repro.loadgen.client import LoadgenConfig, run_loadgen
 
@@ -130,17 +128,12 @@ def measure_capacity(workers: int, sockets: int = 1, extra_args: tuple = ()) -> 
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_serve_throughput(benchmark, workers):
-    if workers > 1 and not hasattr(socket, "SO_REUSEPORT"):
-        pytest.skip("SO_REUSEPORT unavailable on this platform")
-    sockets = 1 if workers == 1 else 8 * workers
-    result = benchmark.pedantic(
-        measure_capacity, args=(workers, sockets), rounds=1, iterations=1
-    )
-    record_perf(f"serve_throughput_w{workers}", **result)
+def test_serve_throughput(benchmark):
+    """One worker on one flow; ``bench_serve_worker_scaling`` covers more."""
+    result = benchmark.pedantic(measure_capacity, args=(1,), rounds=1, iterations=1)
+    record_perf("serve_throughput_w1", **result)
     print(
-        f"\nserve throughput ({workers} worker{'s' if workers > 1 else ''}): "
+        f"\nserve throughput (1 worker): "
         f"{result['ops_per_s']} qps, p50 {result['p50_ms']} ms, "
         f"p99 {result['p99_ms']} ms"
     )

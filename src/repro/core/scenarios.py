@@ -65,6 +65,30 @@ def _normalize_fault_plan(faults) -> Optional[dict]:
     return FaultPlan.from_payload(faults).to_payload()
 
 
+def _attach_cell_faults(
+    world, specs: list[FaultSpec], name: str, seed: int, fault_plan: Optional[dict]
+) -> None:
+    """Arm a cell's own fault ``specs`` plus any extra ``fault_plan``.
+
+    The extra plan's faults ride after the cell's, and its name (when
+    set) and seed replace the cell's; the injector draws from ``seed``.
+    """
+    plan_seed = seed
+    if fault_plan is not None:
+        extra = FaultPlan.from_payload(fault_plan)
+        specs = [*specs, *extra.faults]
+        name = extra.name or name
+        plan_seed = extra.seed
+    plan = FaultPlan(faults=tuple(specs), name=name, seed=plan_seed)
+    world.network.attach_faults(FaultInjector(plan, seed=seed))
+
+
+def _counter(snapshot: MetricsSnapshot, name: str) -> int:
+    """A counter's value, 0 when the cell never incremented it."""
+    value = snapshot.value(name)
+    return 0 if value is None else int(value)
+
+
 def _run_centricity(
     campaign: str,
     builder: str,
@@ -709,17 +733,17 @@ _CONTROLLED_RUNS: dict[str, tuple[str, str, str]] = {
 
 
 def _run_controlled(
+    *,
     label: str,
     seed: int,
     probes: int,
     duration: float,
+    metrics: MetricsRegistry,
     interval: float = 600.0,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> ControlledRun:
     qname, zone_attr, server_attr = _CONTROLLED_RUNS[label]
     world = build_controlled_world(seed)
-    if metrics is not None:
-        world.world.network.attach_metrics(metrics)
+    world.world.network.attach_metrics(metrics)
     population = make_population(world.world, probes=probes, seed=seed)
     spec = MeasurementSpec(
         qname=qname,
@@ -851,8 +875,8 @@ def _run_ddos_tier(
     attack_seconds: float,
     probe_interval: float,
     attack_start: float,
+    metrics: MetricsRegistry,
     fault_plan: Optional[dict] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> DdosTierResult:
     """Probe one warmed resolver through an authoritative outage.
 
@@ -866,25 +890,14 @@ def _run_ddos_tier(
 
     outage = build_outage_world(ttl, seed)
     world = outage.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
-
-    specs = [
-        FaultSpec(
-            kind="server_outage",
-            start=attack_start,
-            duration=attack_seconds,
-            target=outage.target_address,
-        )
-    ]
-    plan_name, plan_seed = "ddos", seed
-    if fault_plan is not None:
-        extra = FaultPlan.from_payload(fault_plan)
-        specs.extend(extra.faults)
-        plan_name = extra.name or plan_name
-        plan_seed = extra.seed
-    plan = FaultPlan(faults=tuple(specs), name=plan_name, seed=plan_seed)
-    world.network.attach_faults(FaultInjector(plan, seed=seed))
+    world.network.attach_metrics(metrics)
+    outage_spec = FaultSpec(
+        kind="server_outage",
+        start=attack_start,
+        duration=attack_seconds,
+        target=outage.target_address,
+    )
+    _attach_cell_faults(world, [outage_spec], "ddos", seed, fault_plan)
 
     policy = ResolverPolicy.child_centric().with_(serve_stale=serve_stale)
     resolver = RecursiveResolver(
@@ -1037,7 +1050,7 @@ def _run_prefetch_cell(
     names: int,
     rate_qps: float,
     duration: float,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> PrefetchCell:
     """Drive one resolver through a Zipf workload against one TTL tier."""
     from repro.loadgen.arrivals import poisson_schedule
@@ -1048,8 +1061,7 @@ def _run_prefetch_cell(
 
     hotset = build_hotset_world(ttl, seed, names=names)
     world = hotset.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
     policy = {
         "off": ResolverPolicy.child_centric,
         "onhit": ResolverPolicy.prefetching,
@@ -1073,17 +1085,7 @@ def _run_prefetch_cell(
         hits += out.cache_hit
         count += 1
     cdf = ECDF(latencies) if latencies else None
-    refreshes = stale = 0
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        present = set(snapshot.metrics)
-        refreshes = int(
-            (snapshot.value("predict.refreshes") if "predict.refreshes" in present else 0)
-            + (snapshot.value("predict.revalidations")
-               if "predict.revalidations" in present else 0)
-        )
-        if "predict.stale_answered" in present:
-            stale = int(snapshot.value("predict.stale_answered"))
+    snapshot = metrics.snapshot()
     return PrefetchCell(
         mode=mode,
         ttl=ttl,
@@ -1094,8 +1096,9 @@ def _run_prefetch_cell(
         p50_ms=cdf.median if cdf else 0.0,
         p95_ms=cdf.quantile(0.95) if cdf else 0.0,
         p99_ms=cdf.quantile(0.99) if cdf else 0.0,
-        refreshes=refreshes,
-        stale_answered=stale,
+        refreshes=_counter(snapshot, "predict.refreshes")
+        + _counter(snapshot, "predict.revalidations"),
+        stale_answered=_counter(snapshot, "predict.stale_answered"),
     )
 
 
@@ -1216,19 +1219,17 @@ def _run_ecs_cell(
     subnets: int,
     rate_qps: float,
     duration: float,
-    metrics: Optional[MetricsRegistry] = None,
+    metrics: MetricsRegistry,
 ) -> EcsCell:
     """Drive one resolution architecture through the CDN workload."""
-    from repro.core.worlds import _ECS_SITE_OF_REGION
     from repro.loadgen.arrivals import poisson_schedule
     from repro.resolver.policy import EcsPolicy, ResolverPolicy
     from repro.resolver.recursive import RecursiveResolver
 
     testbed = build_ecs_cdn_world(ttl, seed, subnets=subnets)
     world = testbed.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
-        testbed.cdn.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
+    testbed.cdn.attach_metrics(metrics)
 
     policy = ResolverPolicy.child_centric()
     if mode == "public-ecs":
@@ -1257,10 +1258,6 @@ def _run_ecs_cell(
         resolver_of = lambda client: resolvers[client.egress]  # noqa: E731
 
     site_of_address = {site.address: name for name, site in testbed.sites.items()}
-    local_site = {
-        client.index: _ECS_SITE_OF_REGION[client.region]
-        for client in testbed.clients
-    }
     rng = random.Random(seed ^ 0xEC5D)
     clients = testbed.clients
     latencies: list[float] = []
@@ -1287,17 +1284,12 @@ def _run_ecs_cell(
                     )
                     * 1000.0
                 )
-                if site_name == local_site[client.index]:
+                if site_name == client.local_site:
                     local_answers += 1
         latencies.append(total_ms)
         hits += out.cache_hit
         count += 1
     cdf = ECDF(latencies) if latencies else None
-    scope_merges = 0
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        if "ecs.scope_merges" in snapshot.metrics:
-            scope_merges = int(snapshot.value("ecs.scope_merges"))
     return EcsCell(
         mode=mode,
         ttl=ttl,
@@ -1313,7 +1305,7 @@ def _run_ecs_cell(
         scoped_entries=sum(
             resolver.cache.ecs_scoped_len() for resolver in resolvers.values()
         ),
-        scope_merges=scope_merges,
+        scope_merges=_counter(metrics.snapshot(), "ecs.scope_merges"),
     )
 
 
@@ -1509,8 +1501,8 @@ def _run_push_cell(
     changes: int,
     probe_interval: float,
     duration: float,
+    metrics: MetricsRegistry,
     fault_plan: Optional[dict] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> PushCell:
     """Probe one update channel through one fault family at one TTL."""
     from repro.analysis.hitrate import analytic_hit_rate
@@ -1521,8 +1513,7 @@ def _run_push_cell(
 
     testbed = build_push_world(ttl, seed)
     world = testbed.world
-    if metrics is not None:
-        world.network.attach_metrics(metrics)
+    world.network.attach_metrics(metrics)
 
     change_times = [
         round(duration * (index + 1) / (changes + 1), 3)
@@ -1543,19 +1534,7 @@ def _run_push_cell(
                 target=testbed.target_address,
             )
         )
-    plan_name = f"push-{plan}"
-    plan_seed = seed
-    if fault_plan is not None:
-        extra = FaultPlan.from_payload(fault_plan)
-        specs.extend(extra.faults)
-        plan_name = extra.name or plan_name
-        plan_seed = extra.seed
-    world.network.attach_faults(
-        FaultInjector(
-            FaultPlan(faults=tuple(specs), name=plan_name, seed=plan_seed),
-            seed=seed,
-        )
-    )
+    _attach_cell_faults(world, specs, f"push-{plan}", seed, fault_plan)
     injector = world.network.faults
 
     publisher = None
@@ -1623,7 +1602,7 @@ def _run_push_cell(
         for at, seen in seat_obs:
             if seen is None:
                 continue
-            truth = "203.0.113.10"
+            truth = testbed.initial_address
             for changed_at, address in change_log:
                 if changed_at <= at:
                     truth = address
@@ -1632,12 +1611,7 @@ def _run_push_cell(
     mean_lag = sum(lags) / len(lags) if lags else 0.0
     p95_lag = lags[min(len(lags) - 1, int(0.95 * len(lags)))] if lags else 0.0
 
-    counter = lambda name_: 0  # noqa: E731
-    if metrics is not None:
-        snapshot = metrics.snapshot()
-        counter = lambda name_: (  # noqa: E731
-            int(snapshot.value(name_)) if name_ in snapshot.metrics else 0
-        )
+    snapshot = metrics.snapshot()
     auth_queries = testbed.server.queries_received
     probe_rate = 1.0 / probe_interval
     return PushCell(
@@ -1650,10 +1624,10 @@ def _run_push_cell(
         answered=answered,
         stale_probes=stale,
         auth_queries=auth_queries,
-        notifications=counter("push.notifications"),
-        coalesced=counter("push.coalesced"),
-        session_resets=counter("push.session_resets"),
-        reconnects=counter("push.reconnects"),
+        notifications=_counter(snapshot, "push.notifications"),
+        coalesced=_counter(snapshot, "push.coalesced"),
+        session_resets=_counter(snapshot, "push.session_resets"),
+        reconnects=_counter(snapshot, "push.reconnects"),
         mean_staleness_s=mean_lag,
         p95_staleness_s=p95_lag,
         max_staleness_s=lags[-1] if lags else 0.0,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, ClassVar, Optional
 
 from repro.dns.name import Name, root
 from repro.dns.rdtypes import AAAA, A, NS, RdataType
@@ -92,14 +93,19 @@ class World:
         region: Region,
         zones: Optional[list[Zone]] = None,
         address: Optional[str] = None,
+        factory: Callable[[Endpoint, list[Zone]], AuthoritativeServer] = AuthoritativeServer,
     ) -> AuthoritativeServer:
-        """Create, register and remember an authoritative server."""
+        """Create, register and remember an authoritative server.
+
+        ``factory`` builds the server from its endpoint and zones, for
+        servers that answer differently (e.g. a CDN authoritative).
+        """
         endpoint = self.topology.endpoint_in_region(region, name=name)
         if address is not None:
             endpoint = Endpoint(
                 address=address, region=endpoint.region, asn=endpoint.asn, name=name
             )
-        server = AuthoritativeServer(endpoint, zones or [])
+        server = factory(endpoint, zones or [])
         self.network.register(server)
         self.servers[name] = server
         self._server_addresses[name] = endpoint.address
@@ -682,6 +688,59 @@ def build_controlled_world(seed: int = 0, anycast_sites: int = 45) -> Controlled
     )
 
 
+# ------------------------------------------------------- single-zone testbeds
+# The §6.1 DDoS world and the prefetch, ECS and push worlds share one
+# shape: one root server, one child zone whose NS, glue and answers all
+# carry the cell's TTL, and one child authoritative.  They are built on
+# their own root rather than :func:`build_base_world`, whose second root
+# server and loss model would move every testbed address and RNG draw.
+
+
+def _testbed_root(seed: int) -> World:
+    """A world whose root zone is served by ``a.rootsrv.net`` alone (NA)."""
+    root_name = "a.rootsrv.net."
+    root_zone = Zone(root, default_ttl=ROOT_DELEGATION_TTL)
+    root_zone.add_soa(root_name)
+    root_zone.add(root, RdataType.NS, NS(Name(root_name)), ttl=518400)
+    world = World(
+        seed=seed,
+        topology=Topology(seed=seed),
+        network=Network(seed=seed),
+        clock=SimClock(),
+        root_zone=root_zone,
+        hints={},
+    )
+    world.add_zone(root_zone)
+    server = world.add_server(root_name.rstrip("."), Region.NA, [root_zone])
+    root_zone.add(root_name, RdataType.A, A(server.endpoint.address))
+    world.hints = {Name(root_name): server.endpoint.address}
+    return world
+
+
+def _testbed_zone(
+    world: World,
+    origin: str,
+    ttl: int,
+    factory: Callable[[Endpoint, list[Zone]], AuthoritativeServer] = AuthoritativeServer,
+) -> tuple[Zone, AuthoritativeServer]:
+    """Serve ``origin`` from ``ns1.<origin>`` (EU), delegated from the root.
+
+    The child's NS and in-bailiwick glue carry ``ttl``; the root
+    delegation keeps its realistic 2-day TTL.  The caller adds the
+    answers.  A testbed allocates its own endpoints between
+    :func:`_testbed_root` and this call, since allocation order fixes
+    every address.
+    """
+    ns_name = f"ns1.{origin}"
+    zone = world.add_zone(Zone(origin, default_ttl=ttl))
+    zone.add_soa(ns_name)
+    server = world.add_server(ns_name.rstrip("."), Region.EU, [zone], factory=factory)
+    zone.add(origin, RdataType.NS, NS(Name(ns_name)), ttl=ttl)
+    zone.add(ns_name, RdataType.A, A(server.endpoint.address), ttl=ttl)
+    world.delegate(world.root_zone, origin, [ns_name], ROOT_DELEGATION_TTL)
+    return zone, server
+
+
 @dataclass
 class OutageWorld:
     """The §6.1 DDoS testbed: one small zone behind one authoritative.
@@ -709,50 +768,9 @@ def build_outage_world(ttl: int, seed: int = 0) -> OutageWorld:
     the record under attack expires exactly ``ttl`` seconds after the
     cache was warmed.
     """
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
-
-    zone = Zone("shop.example.", default_ttl=ttl)
-    zone.add_soa("ns1.shop.example.")
-    zone.add("shop.example.", RdataType.NS, NS(Name("ns1.shop.example.")), ttl=ttl)
-    server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.shop.example"), [zone]
-    )
-    network.register(server)
-    zone.add("ns1.shop.example.", RdataType.A, A(server.endpoint.address), ttl=ttl)
+    world = _testbed_root(seed)
+    zone, server = _testbed_zone(world, "shop.example.", ttl)
     zone.add("www.shop.example.", RdataType.A, A("203.0.113.10"), ttl=ttl)
-    root_zone.add(
-        "shop.example.", RdataType.NS, NS(Name("ns1.shop.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.shop.example.", RdataType.A, A(server.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.shop.example"] = server
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.shop.example"] = server.endpoint.address
     return OutageWorld(world=world, zone=zone, server=server)
 
 
@@ -782,32 +800,12 @@ class HotsetWorld:
 def build_hotset_world(ttl: int, seed: int = 0, names: int = 16) -> HotsetWorld:
     """Build the prefetch-tradeoff world for one TTL cell.
 
-    Mirrors :func:`build_outage_world`: a realistic 2-day root
-    delegation, and a child zone whose NS, glue, and all ``names`` leaf
-    answers carry ``ttl`` — so every record a client asks for expires
-    exactly ``ttl`` seconds after it was cached.
+    A single-zone testbed whose ``names`` leaf answers all carry ``ttl``
+    — so every record a client asks for expires exactly ``ttl`` seconds
+    after it was cached.
     """
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
-
-    zone = Zone("hot.example.", default_ttl=ttl)
-    zone.add_soa("ns1.hot.example.")
-    zone.add("hot.example.", RdataType.NS, NS(Name("ns1.hot.example.")), ttl=ttl)
-    server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.hot.example"), [zone]
-    )
-    network.register(server)
-    zone.add("ns1.hot.example.", RdataType.A, A(server.endpoint.address), ttl=ttl)
+    world = _testbed_root(seed)
+    zone, server = _testbed_zone(world, "hot.example.", ttl)
     qnames = []
     for rank in range(names):
         qname = f"www{rank}.hot.example."
@@ -818,28 +816,6 @@ def build_hotset_world(ttl: int, seed: int = 0, names: int = 16) -> HotsetWorld:
             ttl=ttl,
         )
         qnames.append(qname)
-    root_zone.add(
-        "hot.example.", RdataType.NS, NS(Name("ns1.hot.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.hot.example.", RdataType.A, A(server.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.hot.example"] = server
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.hot.example"] = server.endpoint.address
     return HotsetWorld(world=world, zone=zone, server=server, qnames=qnames)
 
 
@@ -856,6 +832,9 @@ class EcsClient:
     #: ("eu" or "na") — the catchment that decouples client location from
     #: resolver location.
     egress: str
+    #: The CDN site in the client's own region: the answer a well-routed
+    #: query gets.
+    local_site: str
 
 
 @dataclass
@@ -907,30 +886,20 @@ def _ecs_client_network(index: int) -> str:
 def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorld:
     """Build the ECS + CDN world for one (ttl, subnets) cell.
 
-    Mirrors :func:`build_hotset_world`'s single-zone shape, but the child
-    authoritative is a :class:`~repro.server.cdn.CdnAuthoritativeServer`
-    answering ``www.cdn.example.`` with a per-region site address: by ECS
-    subnet when the query carries one, by the resolver's own address
-    otherwise.  Per-site TTLs all carry the cell's ``ttl`` so cache decay
-    is uniform across sites and the TTL sweep stays interpretable.
+    A single-zone testbed whose child authoritative is a
+    :class:`~repro.server.cdn.CdnAuthoritativeServer` answering
+    ``www.cdn.example.`` with a per-region site address: by ECS subnet
+    when the query carries one, by the resolver's own address otherwise.
+    Per-site TTLs all carry the cell's ``ttl`` so cache decay is uniform
+    across sites and the TTL sweep stays interpretable.
     """
     from repro.dns.ecs import ClientSubnet
     from repro.server.cdn import CdnAuthoritativeServer, CdnSite
 
     if subnets < 1:
         raise ValueError(f"need at least one client subnet, got {subnets}")
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
+    world = _testbed_root(seed)
+    topology = world.topology
 
     # Content sites, one per region, in TEST-NET-3 address space.
     site_specs = (
@@ -983,6 +952,7 @@ def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorl
                 subnet=ClientSubnet.from_ip(network_address, 24),
                 region=region,
                 egress=_ECS_EGRESS_OF_REGION[region],
+                local_site=_ECS_SITE_OF_REGION[region],
             )
         )
         site_map.append((f"{network_address}/24", _ECS_SITE_OF_REGION[region]))
@@ -991,42 +961,19 @@ def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorl
     site_map.append((f"{egress_endpoints['eu'].address}/32", "eu"))
     site_map.append((f"{egress_endpoints['na'].address}/32", "na"))
 
-    zone = Zone("cdn.example.", default_ttl=ttl)
-    zone.add_soa("ns1.cdn.example.")
-    zone.add("cdn.example.", RdataType.NS, NS(Name("ns1.cdn.example.")), ttl=ttl)
     content_name = "www.cdn.example."
-    cdn = CdnAuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.cdn.example"),
-        [zone],
-        content_names=[content_name],
-        sites=sites.values(),
-        site_map=site_map,
-        default_site="eu",
+    zone, cdn = _testbed_zone(
+        world,
+        "cdn.example.",
+        ttl,
+        factory=partial(
+            CdnAuthoritativeServer,
+            content_names=[content_name],
+            sites=sites.values(),
+            site_map=site_map,
+            default_site="eu",
+        ),
     )
-    network.register(cdn)
-    zone.add("ns1.cdn.example.", RdataType.A, A(cdn.endpoint.address), ttl=ttl)
-    root_zone.add(
-        "cdn.example.", RdataType.NS, NS(Name("ns1.cdn.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.cdn.example.", RdataType.A, A(cdn.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.cdn.example"] = cdn
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.cdn.example"] = cdn.endpoint.address
     return EcsCdnWorld(
         world=world,
         zone=zone,
@@ -1045,10 +992,9 @@ def build_ecs_cdn_world(ttl: int, seed: int = 0, subnets: int = 8) -> EcsCdnWorl
 class PushWorld:
     """The push-vs-poll testbed: one renumbering-prone record.
 
-    Mirrors :class:`OutageWorld` — a realistic root delegation plus one
-    child zone behind one authoritative — but the interesting record is
-    the content answer itself, which the scenario renumbers on the fault
-    plan's ``record_change`` schedule.  :meth:`apply_change` is the one
+    A single-zone testbed whose interesting record is the content answer
+    itself, which the scenario renumbers on the fault plan's
+    ``record_change`` schedule.  :meth:`apply_change` is the one
     mutation primitive; the scenario publishes through the attached
     :class:`~repro.push.publisher.PushPublisher` (if any) right after.
     """
@@ -1060,6 +1006,8 @@ class PushWorld:
     content_name: str
     #: TTL every child-zone record carries.
     ttl: int
+    #: The content record's address before any change.
+    initial_address: ClassVar[str] = "203.0.113.10"
 
     @property
     def target_address(self) -> str:
@@ -1069,8 +1017,9 @@ class PushWorld:
     def content_address(self, change_index: int) -> str:
         """The content record's address after change ``change_index``.
 
-        The record starts at ``203.0.113.10``; change ``k`` renumbers it
-        to ``203.0.113.(11 + k mod 200)`` — every change is visible.
+        The record starts at :attr:`initial_address`; change ``k``
+        renumbers it to ``203.0.113.(11 + k mod 200)`` — every change is
+        visible.
         """
         return str(ipaddress.IPv4Address(0xCB007100 + 11 + change_index % 200))
 
@@ -1084,59 +1033,17 @@ class PushWorld:
 def build_push_world(ttl: int, seed: int = 0) -> PushWorld:
     """Build the push-vs-poll world for one TTL cell.
 
-    Like :func:`build_outage_world`: the root delegation keeps its 2-day
-    TTL, the child zone — NS, glue, and the ``www`` content answer — all
-    carry ``ttl``, and the content record starts at change index 0's
-    predecessor (``203.0.113.10``).
+    A single-zone testbed whose ``www`` content answer carries ``ttl``
+    and starts at :attr:`PushWorld.initial_address`.
     """
-    topology = Topology(seed=seed)
-    network = Network(seed=seed)
-    clock = SimClock()
-
-    root_zone = Zone("", default_ttl=172800)
-    root_zone.add_soa("a.rootsrv.net.")
-    root_zone.add("", RdataType.NS, NS(Name("a.rootsrv.net.")), ttl=518400)
-    root_server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.NA, "a.rootsrv.net"), [root_zone]
-    )
-    network.register(root_server)
-    root_zone.add("a.rootsrv.net.", RdataType.A, A(root_server.endpoint.address))
-
-    zone = Zone("pushed.example.", default_ttl=ttl)
-    zone.add_soa("ns1.pushed.example.")
-    zone.add("pushed.example.", RdataType.NS, NS(Name("ns1.pushed.example.")), ttl=ttl)
-    server = AuthoritativeServer(
-        topology.endpoint_in_region(Region.EU, "ns1.pushed.example"), [zone]
-    )
-    network.register(server)
-    zone.add("ns1.pushed.example.", RdataType.A, A(server.endpoint.address), ttl=ttl)
-    zone.add("www.pushed.example.", RdataType.A, A("203.0.113.10"), ttl=ttl)
-    root_zone.add(
-        "pushed.example.", RdataType.NS, NS(Name("ns1.pushed.example.")), ttl=172800
-    )
-    root_zone.add(
-        "ns1.pushed.example.", RdataType.A, A(server.endpoint.address), ttl=172800
-    )
-    hints = {Name("a.rootsrv.net."): root_server.endpoint.address}
-
-    world = World(
-        seed=seed,
-        topology=topology,
-        network=network,
-        clock=clock,
-        root_zone=root_zone,
-        hints=hints,
-    )
-    world.add_zone(root_zone)
-    world.add_zone(zone)
-    world.servers["a.rootsrv.net"] = root_server
-    world.servers["ns1.pushed.example"] = server
-    world._server_addresses["a.rootsrv.net"] = root_server.endpoint.address
-    world._server_addresses["ns1.pushed.example"] = server.endpoint.address
+    world = _testbed_root(seed)
+    zone, server = _testbed_zone(world, "pushed.example.", ttl)
+    content_name = "www.pushed.example."
+    zone.add(content_name, RdataType.A, A(PushWorld.initial_address), ttl=ttl)
     return PushWorld(
         world=world,
         zone=zone,
         server=server,
-        content_name="www.pushed.example.",
+        content_name=content_name,
         ttl=ttl,
     )

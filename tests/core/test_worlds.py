@@ -8,11 +8,15 @@ from repro.core.worlds import (
     build_cachetest_world,
     build_cl_world,
     build_controlled_world,
+    build_ecs_cdn_world,
     build_googleco_world,
+    build_hotset_world,
     build_nl_world,
+    build_outage_world,
+    build_push_world,
     build_uy_world,
 )
-from repro.dns.message import Message
+from repro.dns.message import Message, Rcode
 from repro.dns.name import Name
 from repro.dns.rdtypes import RdataType
 
@@ -205,3 +209,53 @@ class TestControlledWorld:
             RdataType.AAAA,
         )
         assert response.flags.aa and response.answer[0].ttl == 60
+
+
+#: Each single-zone testbed: builder, child origin, server and content name.
+TESTBEDS = {
+    "outage": (build_outage_world, "shop.example.",
+               lambda bed: bed.server, lambda bed: "www.shop.example."),
+    "hotset": (build_hotset_world, "hot.example.",
+               lambda bed: bed.server, lambda bed: bed.qnames[0]),
+    "ecs": (build_ecs_cdn_world, "cdn.example.",
+            lambda bed: bed.cdn, lambda bed: bed.content_name),
+    "push": (build_push_world, "pushed.example.",
+             lambda bed: bed.server, lambda bed: bed.content_name),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TESTBEDS))
+def test_single_zone_testbed_contract(kind):
+    from repro.net.topology import Region
+    from repro.resolver.recursive import RecursiveResolver
+
+    builder, origin, server_of, content_of = TESTBEDS[kind]
+    ttl = 1234
+    testbed = builder(ttl, seed=3)
+    world, server, content = testbed.world, server_of(testbed), content_of(testbed)
+    ns_name = f"ns1.{origin}"
+
+    assert world.servers[ns_name.rstrip(".")] is server
+    assert world.address_of(ns_name.rstrip(".")) == server.endpoint.address
+
+    # The child's NS, glue and content answer all carry the cell's TTL.
+    for qname, qtype in ((origin, RdataType.NS), (ns_name, RdataType.A),
+                         (content, RdataType.A)):
+        response = direct_query(world, ns_name.rstrip("."), qname, qtype)
+        assert response.flags.aa and response.answer
+        assert all(rrset.ttl == ttl for rrset in response.answer), (qname, qtype)
+
+    # The root delegates at its realistic 2-day TTL, glue included.
+    referral = direct_query(world, "a.rootsrv.net", content, RdataType.A)
+    ns = [r for r in referral.authority if r.rdtype == RdataType.NS]
+    glue = [r for r in referral.additional if r.rdtype == RdataType.A]
+    assert ns and all(r.ttl == ROOT_DELEGATION_TTL for r in ns)
+    assert glue and all(r.ttl == ROOT_DELEGATION_TTL for r in glue)
+
+    resolver = RecursiveResolver(
+        endpoint=world.topology.endpoint_in_region(Region.EU, "res"),
+        network=world.network,
+        root_hints=world.hints,
+    )
+    outcome = resolver.resolve(content, RdataType.A, now=0.0)
+    assert outcome.rcode == Rcode.NOERROR and outcome.answers
